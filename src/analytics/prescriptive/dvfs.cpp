@@ -9,12 +9,23 @@
 
 namespace oda::analytics {
 
-DvfsGovernor::DvfsGovernor(Params params) : params_(params) {}
+namespace {
+// Leaf slots in nodes_: energy mode reads two sensors, thermal modes one.
+constexpr std::size_t kCpuUtil = 0, kMemBwUtil = 1;
+constexpr std::size_t kCpuTemp = 0;
+}  // namespace
+
+DvfsGovernor::DvfsGovernor(Params params)
+    : params_(params),
+      nodes_(params.mode == Mode::kEnergy
+                 ? std::vector<std::string>{"cpu_util", "mem_bw_util"}
+                 : std::vector<std::string>{"cpu_temp"}) {}
 
 void DvfsGovernor::act(sim::ClusterSimulation& cluster,
                        const telemetry::TimeSeriesStore& store,
                        std::vector<Actuation>& log) {
   ::oda::obs::CellScope oda_cell_scope("system-hardware", "prescriptive", "presc.dvfs");
+  nodes_.bind(cluster);
   if (params_.mode == Mode::kEnergy) {
     act_energy(cluster, store, log);
   } else {
@@ -27,28 +38,29 @@ void DvfsGovernor::act_energy(sim::ClusterSimulation& cluster,
                               std::vector<Actuation>& log) {
   const TimePoint now = cluster.now();
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    const std::string& prefix = cluster.node(i).path();
-    const auto cpu = store.query(prefix + "/cpu_util", now - params_.period, now);
+    const auto cpu =
+        store.query(nodes_.series(i, kCpuUtil), now - params_.period, now);
     const auto mem =
-        store.query(prefix + "/mem_bw_util", now - params_.period, now);
+        store.query(nodes_.series(i, kMemBwUtil), now - params_.period, now);
     if (cpu.empty() || mem.empty()) continue;
     const double cpu_mean = mean(cpu.values);
     const double mem_mean = mean(mem.values);
-    const std::string knob = prefix + "/freq_setpoint";
+    const sim::KnobDef& knob = nodes_.freq_knob(i);
     const double nominal = cluster.node(i).params().freq_nominal_ghz;
 
     if (cpu_mean < 0.05) {
       // Idle nodes: race-to-idle is moot here; park at nominal.
-      if (cluster.knobs().get(knob) != nominal) {
-        actuate(cluster, log, name(), knob, nominal, "node idle; restore nominal");
+      if (knob.get() != nominal) {
+        actuate(cluster, log, name(), knob.path, nominal,
+                "node idle; restore nominal");
       }
       continue;
     }
     const bool memory_bound = mem_mean > params_.membound_ratio * cpu_mean ||
                               mem_mean > 0.7;
     const double target = memory_bound ? params_.energy_freq_ghz : nominal;
-    if (std::abs(cluster.knobs().get(knob) - target) > 1e-9) {
-      actuate(cluster, log, name(), knob, target,
+    if (std::abs(knob.get() - target) > 1e-9) {
+      actuate(cluster, log, name(), knob.path, target,
               memory_bound ? "memory-bound phase; downclocking"
                            : "compute-bound phase; nominal frequency");
     }
@@ -56,16 +68,15 @@ void DvfsGovernor::act_energy(sim::ClusterSimulation& cluster,
 }
 
 double DvfsGovernor::effective_temp(const telemetry::TimeSeriesStore& store,
-                                    const std::string& node_prefix,
+                                    telemetry::SeriesId cpu_temp,
                                     TimePoint now) const {
-  const auto latest = store.latest(node_prefix + "/cpu_temp");
+  const auto latest = store.latest(cpu_temp);
   if (!latest) return 0.0;
   if (params_.mode != Mode::kThermalProactive) return latest->value;
 
   // Proactive: Holt forecast of the temperature over the lead window; act
   // on the max of measured and forecast so warming trends are pre-empted.
-  const auto slice =
-      store.query(node_prefix + "/cpu_temp", now - 30 * kMinute, now);
+  const auto slice = store.query(cpu_temp, now - 30 * kMinute, now);
   if (slice.size() < 8) return latest->value;
   const Duration sample = (slice.times.back() - slice.times.front()) /
                           static_cast<Duration>(slice.size() - 1);
@@ -84,11 +95,10 @@ void DvfsGovernor::act_thermal(sim::ClusterSimulation& cluster,
                                std::vector<Actuation>& log) {
   const TimePoint now = cluster.now();
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    const std::string& prefix = cluster.node(i).path();
-    const double temp = effective_temp(store, prefix, now);
+    const double temp = effective_temp(store, nodes_.series(i, kCpuTemp), now);
     if (temp <= 0.0) continue;
-    const std::string knob = prefix + "/freq_setpoint";
-    const double current = cluster.knobs().get(knob);
+    const sim::KnobDef& knob = nodes_.freq_knob(i);
+    const double current = knob.get();
     const auto& np = cluster.node(i).params();
 
     if (temp >= params_.temp_limit_c - params_.temp_headroom_c) {
@@ -100,7 +110,7 @@ void DvfsGovernor::act_thermal(sim::ClusterSimulation& cluster,
       const double target = std::max(
           np.freq_min_ghz, current - params_.step_ghz * (1.0 + 2.0 * depth));
       if (target < current - 1e-9) {
-        actuate(cluster, log, name(), knob, target,
+        actuate(cluster, log, name(), knob.path, target,
                 "temperature near limit; shedding frequency");
       }
     } else if (temp < params_.temp_limit_c - 2.0 * params_.temp_headroom_c &&
@@ -108,7 +118,7 @@ void DvfsGovernor::act_thermal(sim::ClusterSimulation& cluster,
       // Cool again: recover frequency gradually.
       const double target =
           std::min(np.freq_nominal_ghz, current + params_.step_ghz);
-      actuate(cluster, log, name(), knob, target,
+      actuate(cluster, log, name(), knob.path, target,
               "thermal headroom available; restoring frequency");
     }
   }

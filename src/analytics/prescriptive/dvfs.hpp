@@ -12,6 +12,7 @@
 
 #include "analytics/predictive/forecaster.hpp"
 #include "analytics/prescriptive/controller.hpp"
+#include "analytics/prescriptive/node_handles.hpp"
 
 namespace oda::analytics {
 
@@ -53,9 +54,11 @@ class DvfsGovernor : public Controller {
   /// Temperature the governor should regulate against: measured now, or the
   /// forecast max over the lead window in proactive mode.
   double effective_temp(const telemetry::TimeSeriesStore& store,
-                        const std::string& node_prefix, TimePoint now) const;
+                        telemetry::SeriesId cpu_temp, TimePoint now) const;
 
   Params params_;
+  /// Per-node series for the mode's sensors plus the frequency knob.
+  NodeHandles nodes_;
 };
 
 }  // namespace oda::analytics

@@ -7,6 +7,10 @@
 
 namespace oda::analytics {
 
+namespace {
+constexpr std::size_t kPower = 0;  // the only leaf slot in nodes_
+}  // namespace
+
 PowerCapGovernor::PowerCapGovernor(Params params) : params_(params) {}
 
 double PowerCapGovernor::anticipated_power(
@@ -38,6 +42,7 @@ void PowerCapGovernor::act(sim::ClusterSimulation& cluster,
   const double power = anticipated_power(store, now);
   if (power <= 0.0) return;
   const double trigger = params_.cap_w * params_.guard_band;
+  nodes_.bind(cluster);
 
   if (power > trigger) {
     // Shed proportionally to the overshoot, hottest (highest-power) nodes
@@ -45,7 +50,7 @@ void PowerCapGovernor::act(sim::ClusterSimulation& cluster,
     const double overshoot = (power - trigger) / params_.cap_w;
     std::vector<std::pair<double, std::size_t>> by_power;
     for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-      const auto p = store.latest(cluster.node(i).path() + "/power");
+      const auto p = store.latest(nodes_.series(i, kPower));
       by_power.push_back({p ? p->value : 0.0, i});
     }
     std::sort(by_power.rbegin(), by_power.rend());
@@ -54,13 +59,13 @@ void PowerCapGovernor::act(sim::ClusterSimulation& cluster,
                                     static_cast<double>(cluster.node_count())));
     for (std::size_t k = 0; k < std::min(shed_count, by_power.size()); ++k) {
       const std::size_t i = by_power[k].second;
-      const std::string knob = cluster.node(i).path() + "/freq_setpoint";
-      const double current_f = cluster.knobs().get(knob);
+      const sim::KnobDef& knob = nodes_.freq_knob(i);
+      const double current_f = knob.get();
       const double target =
           std::max(cluster.node(i).params().freq_min_ghz,
                    current_f - params_.step_ghz * (1.0 + 2.0 * overshoot));
       if (target < current_f - 1e-9) {
-        actuate(cluster, log, name(), knob, target,
+        actuate(cluster, log, name(), knob.path, target,
                 params_.plan_based ? "forecast power above cap; pre-shedding"
                                    : "power above cap; shedding");
       }
@@ -68,11 +73,11 @@ void PowerCapGovernor::act(sim::ClusterSimulation& cluster,
   } else if (power < trigger * 0.95) {
     // Headroom: restore frequency gradually across the fleet.
     for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-      const std::string knob = cluster.node(i).path() + "/freq_setpoint";
-      const double current_f = cluster.knobs().get(knob);
+      const sim::KnobDef& knob = nodes_.freq_knob(i);
+      const double current_f = knob.get();
       const double nominal = cluster.node(i).params().freq_nominal_ghz;
       if (current_f < nominal - 1e-9) {
-        actuate(cluster, log, name(), knob,
+        actuate(cluster, log, name(), knob.path,
                 std::min(nominal, current_f + params_.step_ghz),
                 "power headroom; restoring frequency");
       }

@@ -7,6 +7,7 @@
 
 #include "analytics/predictive/forecaster.hpp"
 #include "analytics/prescriptive/controller.hpp"
+#include "analytics/prescriptive/node_handles.hpp"
 
 namespace oda::analytics {
 
@@ -40,6 +41,8 @@ class PowerCapGovernor : public Controller {
 
   Params params_;
   std::size_t violations_ = 0;
+  /// Per-node power series plus the frequency knob.
+  NodeHandles nodes_{std::vector<std::string>{"power"}};
 };
 
 }  // namespace oda::analytics

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <utility>
 
 #include "common/sync.hpp"
 
@@ -94,8 +95,11 @@ std::vector<std::string> CaptureSink::lines() const {
   out.reserve(entries_.size());
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    out.push_back("[" + std::string(log_level_name(e.level)) + "] " +
-                  e.message);
+    std::string line = "[";
+    line += log_level_name(e.level);
+    line += "] ";
+    line += e.message;
+    out.push_back(std::move(line));
   }
   return out;
 }

@@ -25,7 +25,11 @@ std::string format_duration(Duration d) {
 }
 
 std::string format_time(TimePoint t) {
-  if (t < 0) return "t" + format_duration(t);
+  if (t < 0) {
+    std::string out = "t";
+    out += format_duration(t);
+    return out;
+  }
   const Duration days = t / kDay;
   const Duration hours = (t % kDay) / kHour;
   const Duration minutes = (t % kHour) / kMinute;

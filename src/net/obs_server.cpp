@@ -238,7 +238,10 @@ HttpResponse ObsServer::varz() const {
   for (const auto& [role, count] : roles) {
     if (!first) body += ", ";
     first = false;
-    body += "\"" + json_escape(role) + "\": " + std::to_string(count);
+    body += '"';
+    body += json_escape(role);
+    body += "\": ";
+    body += std::to_string(count);
   }
   body += "}},\n";
   body += "  \"http\": {\"accepted\": " + std::to_string(stats.accepted) +

@@ -1,6 +1,7 @@
 #include "sim/cluster.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -36,10 +37,17 @@ FacilityParams scale_facility(FacilityParams fp, const ClusterParams& cp) {
   return fp;
 }
 
+std::uint64_t next_instance_id() {
+  // relaxed: only uniqueness matters; the id orders nothing.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 ClusterSimulation::ClusterSimulation(const ClusterParams& params)
-    : params_(params),
+    : instance_id_(next_instance_id()),
+      params_(params),
       rng_(params.seed),
       weather_(params.weather, Rng(params.seed ^ 0x57EA74E2ULL)),
       facility_(scale_facility(params.facility, params)),

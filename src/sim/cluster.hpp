@@ -9,9 +9,10 @@
 // exactly as a production monitoring system would.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,11 @@ struct ClusterParams {
 class ClusterSimulation {
  public:
   explicit ClusterSimulation(const ClusterParams& params);
+
+  /// Process-unique id of this simulation. Callers that cache per-cluster
+  /// handles (knob indices) key the cache on it, which stays exact even when
+  /// a cluster is built at the address of one that was destroyed.
+  std::uint64_t instance_id() const { return instance_id_; }
 
   // -- time ------------------------------------------------------------------
   void step();
@@ -123,6 +129,7 @@ class ClusterSimulation {
   void apply_component_fault(const FaultEvent& event, bool activate);
   void update_rack_inlets();
 
+  std::uint64_t instance_id_;
   ClusterParams params_;
   Rng rng_;
 
@@ -136,7 +143,8 @@ class ClusterSimulation {
   KnobRegistry knobs_;
 
   std::vector<SensorDef> sensors_;
-  std::map<std::string, std::size_t> sensor_index_;
+  /// path -> sensors_ slot; one hash probe per sensor read.
+  std::unordered_map<std::string, std::size_t> sensor_index_;
 
   TimePoint now_ = 0;
   bool workload_enabled_ = true;

@@ -6,6 +6,7 @@ namespace oda::sim {
 
 void KnobRegistry::add(KnobDef knob) {
   ODA_REQUIRE(!contains(knob.path), "duplicate knob path: " + knob.path);
+  index_.emplace(knob.path, knobs_.size());
   knobs_.push_back(std::move(knob));
 }
 
@@ -16,8 +17,7 @@ void KnobRegistry::add_all(KnobProvider& provider) {
 }
 
 bool KnobRegistry::contains(const std::string& path) const {
-  return std::any_of(knobs_.begin(), knobs_.end(),
-                     [&](const KnobDef& k) { return k.path == path; });
+  return index_.count(path) != 0;
 }
 
 std::vector<std::string> KnobRegistry::paths() const {
@@ -27,11 +27,20 @@ std::vector<std::string> KnobRegistry::paths() const {
   return out;
 }
 
+std::size_t KnobRegistry::index_of(const std::string& path) const {
+  const auto it = index_.find(path);
+  if (it == index_.end()) throw ContractError("unknown knob: " + path);
+  return it->second;
+}
+
 const KnobDef& KnobRegistry::at(const std::string& path) const {
-  for (const auto& k : knobs_) {
-    if (k.path == path) return k;
-  }
-  throw ContractError("unknown knob: " + path);
+  return knobs_[index_of(path)];
+}
+
+const KnobDef& KnobRegistry::at(std::size_t index) const {
+  ODA_REQUIRE(index < knobs_.size(),
+              "knob index " + std::to_string(index) + " out of range");
+  return knobs_[index];
 }
 
 double KnobRegistry::get(const std::string& path) const { return at(path).get(); }

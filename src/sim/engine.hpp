@@ -9,8 +9,10 @@
 // machine: sensor paths and knob paths.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -50,22 +52,31 @@ class KnobProvider {
 };
 
 /// Registry resolving knob paths to actuators; the prescriptive pillar's
-/// only way to influence the system.
+/// only way to influence the system. Every path lookup is one hash probe
+/// (O(1) per path, independent of the knob count).
 class KnobRegistry {
  public:
   void add(KnobDef knob);
   void add_all(KnobProvider& provider);
 
   bool contains(const std::string& path) const;
+  /// Knob paths in insertion order.
   std::vector<std::string> paths() const;
   const KnobDef& at(const std::string& path) const;
+
+  /// Stable handle for `path`: its insertion index, valid for this
+  /// registry's lifetime (knobs are never removed). Resolve once, then read
+  /// through at(index) without re-hashing the path.
+  std::size_t index_of(const std::string& path) const;
+  const KnobDef& at(std::size_t index) const;
 
   double get(const std::string& path) const;
   /// Clamps to the knob's range and applies.
   void set(const std::string& path, double value);
 
  private:
-  std::vector<KnobDef> knobs_;
+  std::vector<KnobDef> knobs_;  // insertion order
+  std::unordered_map<std::string, std::size_t> index_;  // path -> knobs_ slot
 };
 
 }  // namespace oda::sim

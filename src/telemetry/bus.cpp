@@ -91,11 +91,10 @@ void MessageBus::publish(const Reading& reading) {
       // Silent-drop visibility: nobody consumed this reading. Warn once per
       // top-level path prefix so a misrouted family surfaces without a log
       // line per sample.
-      const std::string prefix =
-          reading.path.substr(0, reading.path.find('/'));
-      if (std::find(unrouted_warned_.begin(), unrouted_warned_.end(),
-                    prefix) == unrouted_warned_.end()) {
-        unrouted_warned_.push_back(prefix);
+      const std::string_view path = reading.path;
+      const std::string_view prefix = path.substr(0, path.find('/'));
+      if (unrouted_warned_.find(prefix) == unrouted_warned_.end()) {
+        unrouted_warned_.emplace(prefix);
         warn_unrouted = true;
       }
     }

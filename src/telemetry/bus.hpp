@@ -2,6 +2,9 @@
 // monitoring pipeline (the role MQTT plays in DCDB or AMQP in ExaMon).
 // Subscriptions take glob patterns over sensor paths; publishing is
 // thread-safe and delivers synchronously on the publisher's thread.
+// A publish costs one glob match per subscription plus, when unrouted, one
+// O(1) hash probe of the path's top-level prefix — nothing scales with the
+// number of distinct paths or prefixes seen.
 //
 // Self-instrumentation: publish() feeds the global obs registry
 // (oda_bus_publish_seconds, oda_bus_published_total, oda_bus_delivered_total,
@@ -16,6 +19,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -109,9 +114,18 @@ class MessageBus {
       ODA_ACQUIRED_BEFORE(lock_order::health){LockRankId::kBus};
   std::vector<Subscription> subs_ ODA_GUARDED_BY(mu_);
   SubscriptionId next_id_ ODA_GUARDED_BY(mu_) = 1;
+  /// Lets unrouted_warned_ be probed with a string_view of the prefix, so an
+  /// unrouted publish allocates nothing.
+  struct PrefixHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   /// Top-level path prefixes already warned about as unrouted (bounded by
   /// the number of distinct prefixes).
-  std::vector<std::string> unrouted_warned_ ODA_GUARDED_BY(mu_);
+  std::unordered_set<std::string, PrefixHash, std::equal_to<>> unrouted_warned_
+      ODA_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> unrouted_{0};

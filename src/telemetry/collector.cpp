@@ -303,9 +303,14 @@ void Collector::collect() {
     // shard lock once, instead of one map lookup + lock per sample.
     if (store_ != nullptr && !readings.empty()) store_->insert_batch(readings);
     if (bus_ != nullptr) {
-      for (const auto& r : readings) {
-        bus_->publish(
-            Reading{SeriesInterner::global().path(r.id), r.sample});
+      // Same order as `readings`. One Reading is reused so each path is
+      // copied into its buffer, not into a fresh allocation per sample.
+      Reading reading;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (slots[i].outcome != ReadOutcome::kOk) continue;
+        reading.path = group.sensor_paths[i];
+        reading.sample = {now, slots[i].value};
+        bus_->publish(reading);
       }
     }
 

@@ -37,6 +37,64 @@ TEST(KnobRegistry, DuplicateAndUnknownThrow) {
   EXPECT_DOUBLE_EQ(reg.get("k"), 0.0);
 }
 
+TEST(KnobRegistry, IndexMatchesLinearScanOnLargeCluster) {
+  sim::ClusterParams params;
+  params.racks = 256;
+  params.nodes_per_rack = 16;
+  sim::ClusterSimulation cluster(params);
+  sim::KnobRegistry& reg = cluster.knobs();
+  const std::vector<std::string> paths = reg.paths();
+  ASSERT_EQ(paths.size(), cluster.node_count() + 3);  // + facility knobs
+
+  // Insertion order: the facility's knobs, then one per node in node order.
+  EXPECT_EQ(paths.front(), "facility/supply_setpoint");
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    ASSERT_EQ(paths[paths.size() - cluster.node_count() + i],
+              cluster.node(i).path() + "/freq_setpoint");
+  }
+
+  // The reference: what every lookup did before the index, a scan over the
+  // registry in insertion order.
+  std::vector<const sim::KnobDef*> defs;
+  for (std::size_t i = 0; i < paths.size(); ++i) defs.push_back(&reg.at(i));
+  const auto scan = [&](const std::string& path) -> const sim::KnobDef* {
+    for (const sim::KnobDef* d : defs) {
+      if (d->path == path) return d;
+    }
+    return nullptr;
+  };
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const std::string& path = paths[i];
+    const sim::KnobDef* want = scan(path);
+    ASSERT_NE(want, nullptr) << path;
+    EXPECT_TRUE(reg.contains(path)) << path;
+    EXPECT_EQ(&reg.at(path), want) << path;
+    EXPECT_EQ(reg.index_of(path), i) << path;
+    EXPECT_EQ(reg.get(path), want->get()) << path;
+    // set() clamps into the reference knob's range and lands on it.
+    reg.set(path, want->max_value + 1.0);
+    EXPECT_EQ(want->get(), want->max_value) << path;
+    reg.set(path, want->min_value);
+    EXPECT_EQ(reg.get(path), want->min_value) << path;
+  }
+
+  // Duplicates are still rejected and unknown paths still throw, with the
+  // registry unchanged.
+  sim::KnobDef dup = reg.at(paths[paths.size() / 2]);
+  EXPECT_THROW(reg.add(dup), ContractError);
+  EXPECT_EQ(reg.paths(), paths);
+  for (const std::string unknown :
+       {"", "rack00", "rack00/node00/freq", "rack256/node00/freq_setpoint",
+        "facility/supply_setpoint/"}) {
+    EXPECT_FALSE(reg.contains(unknown)) << unknown;
+    EXPECT_THROW(reg.at(unknown), ContractError) << unknown;
+    EXPECT_THROW(reg.index_of(unknown), ContractError) << unknown;
+    EXPECT_THROW(reg.get(unknown), ContractError) << unknown;
+    EXPECT_THROW(reg.set(unknown, 1.0), ContractError) << unknown;
+  }
+  EXPECT_THROW(reg.at(paths.size()), ContractError);
+}
+
 // ----------------------------------------------------------------- logging
 
 TEST(Log, SinkReceivesFilteredMessages) {

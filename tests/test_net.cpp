@@ -657,7 +657,8 @@ TEST(NetGate, StubsAreInertWhenCompiledOut) {
   EXPECT_FALSE(scraper.start([] { return TimePoint{0}; }));
   EXPECT_TRUE(store.match("oda/*").empty());
 
-  ObsServer obs_http;
+  const ObsServerOptions obs_options;
+  ObsServer obs_http(obs_options);
   EXPECT_FALSE(obs_http.start());
   obs_http.stop();
 }

@@ -207,8 +207,9 @@ TEST(JobRuntime, UnknownUserFallsBackToKnnThenRequest) {
   spec.walltime_requested = 5 * kHour;
   EXPECT_STREQ(predictor.predict(spec).source, "request");
   for (int i = 0; i < 20; ++i) {
-    predictor.observe(make_record("u" + std::to_string(i), 2 * kHour,
-                                  6 * kHour, i * kHour));
+    std::string user = "u";
+    user += std::to_string(i);
+    predictor.observe(make_record(user, 2 * kHour, 6 * kHour, i * kHour));
   }
   const auto est = predictor.predict(spec);
   EXPECT_STREQ(est.source, "knn");

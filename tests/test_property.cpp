@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "analytics/diagnostic/anomaly.hpp"
@@ -67,6 +68,14 @@ struct QuantileCase {
   double q;
   int distribution;  // 0 normal, 1 exponential, 2 uniform, 3 bimodal
 };
+
+// Without this, gtest prints the case as raw bytes — including the address
+// of `name` — so the discovered test names would change from run to run.
+void PrintTo(const QuantileCase& c, std::ostream* os) {
+  static constexpr const char* kDistributions[] = {"normal", "exponential",
+                                                   "uniform", "bimodal"};
+  *os << kDistributions[c.distribution] << " q=" << c.q;
+}
 
 class P2Property : public ::testing::TestWithParam<QuantileCase> {};
 

@@ -69,8 +69,10 @@ TEST_P(NodeFreqProperty, ProgressAndPowerMonotoneInFrequency) {
 INSTANTIATE_TEST_SUITE_P(Freqs, NodeFreqProperty,
                          ::testing::Values(1.8, 2.2, 2.6, 3.0),
                          [](const auto& suite_info) {
-                           return "f" + std::to_string(static_cast<int>(
-                                            suite_info.param * 10));
+                           std::string name = "f";
+                           name += std::to_string(
+                               static_cast<int>(suite_info.param * 10));
+                           return name;
                          });
 
 // ---------------------------------------------- facility monotonicity laws
@@ -112,6 +114,12 @@ TEST(FacilityProperty, CoolingPowerScalesWithHeat) {
 
 // ----------------------------------------------- store concurrency safety
 
+std::string writer_path(int w) {
+  std::string path = "w";
+  path += std::to_string(w);
+  return path;
+}
+
 TEST(StoreConcurrency, ParallelWritersAndReadersStayConsistent) {
   telemetry::TimeSeriesStore store(1 << 14);
   constexpr int kWriters = 4;
@@ -122,7 +130,7 @@ TEST(StoreConcurrency, ParallelWritersAndReadersStayConsistent) {
   std::thread reader([&] {
     while (!stop.load()) {
       for (int w = 0; w < kWriters; ++w) {
-        const std::string path = "w" + std::to_string(w);
+        const std::string path = writer_path(w);
         const auto slice = store.query_all(path);
         // Values are the timestamps: any retained sample must satisfy that.
         for (std::size_t i = 0; i < slice.size(); ++i) {
@@ -137,7 +145,7 @@ TEST(StoreConcurrency, ParallelWritersAndReadersStayConsistent) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&store, w] {
-      const std::string path = "w" + std::to_string(w);
+      const std::string path = writer_path(w);
       for (int i = 0; i < kSamplesPerWriter; ++i) {
         store.insert(path, {i, static_cast<double>(i)});
       }
@@ -151,7 +159,7 @@ TEST(StoreConcurrency, ParallelWritersAndReadersStayConsistent) {
   EXPECT_EQ(store.total_inserted(),
             static_cast<std::uint64_t>(kWriters) * kSamplesPerWriter);
   for (int w = 0; w < kWriters; ++w) {
-    const auto slice = store.query_all("w" + std::to_string(w));
+    const auto slice = store.query_all(writer_path(w));
     // Retained window is the tail and strictly ordered.
     for (std::size_t i = 1; i < slice.size(); ++i) {
       EXPECT_EQ(slice.times[i], slice.times[i - 1] + 1);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -381,6 +382,53 @@ TEST(MessageBus, CountsUnroutedPublishes) {
   bus.publish("orphan/metric", 0, 1.0);  // no subscriber
   bus.publish("orphan/other", 0, 1.0);   // same prefix: counted, logged once
   EXPECT_EQ(bus.unrouted_count(), before + 2);
+}
+
+TEST(MessageBus, UnroutedWarnsOncePerPrefixAcrossManyPrefixes) {
+  MessageBus bus;
+  int routed = 0;
+  bus.subscribe("routed/*", [&routed](const Reading&) { ++routed; });
+  CaptureSink capture(1024);
+
+  // 300 distinct top-level prefixes, each published to several times under
+  // different sub-paths, interleaved with routed traffic. Only the first
+  // path component is the prefix; "bare<p>" paths have no '/', so the whole
+  // path is the prefix.
+  constexpr int kPrefixes = 300;
+  constexpr int kRepeats = 4;
+  std::vector<std::string> prefixes;
+  for (int p = 0; p < kPrefixes; ++p) {
+    prefixes.push_back((p % 10 == 0 ? "bare" : "orphan") + std::to_string(p));
+  }
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (const std::string& prefix : prefixes) {
+      const bool bare = prefix.rfind("bare", 0) == 0;
+      bus.publish(
+          bare ? prefix : prefix + "/dev" + std::to_string(rep) + "/leaf", rep,
+          1.0);
+      bus.publish("routed/m", rep, 2.0);
+    }
+  }
+
+  const auto publishes = static_cast<std::uint64_t>(kPrefixes * kRepeats);
+  EXPECT_EQ(bus.unrouted_count(), publishes);
+  EXPECT_EQ(bus.published_count(), 2 * publishes);
+  EXPECT_EQ(bus.delivered_count(), publishes);
+  EXPECT_EQ(static_cast<std::uint64_t>(routed), publishes);
+
+  std::map<std::string, int> warnings;
+  for (const auto& line : capture.lines()) {
+    if (line.find("matched no subscribers") == std::string::npos) continue;
+    const std::string marker = "under prefix '";
+    const auto at = line.find(marker);
+    ASSERT_NE(at, std::string::npos) << line;
+    const auto begin = at + marker.size();
+    ++warnings[line.substr(begin, line.find('\'', begin) - begin)];
+  }
+  EXPECT_EQ(warnings.size(), prefixes.size());
+  for (const std::string& prefix : prefixes) {
+    EXPECT_EQ(warnings[prefix], 1) << prefix;
+  }
 }
 
 // ---------------------------------------------------------- empty groups

@@ -4,6 +4,9 @@
 // cost at several machine sizes.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "bench_util.hpp"
 
 #include "common/rng.hpp"
@@ -36,6 +39,43 @@ void BM_BusPublish(benchmark::State& state) {
   benchmark::DoNotOptimize(delivered);
 }
 BENCHMARK(BM_BusPublish)->Arg(1)->Arg(8)->Arg(64);
+
+// The collector's common case: readings no subscriber wants (one
+// subscription on another family). The same 256 readings go out as single
+// publishes or as one batch per call; both count iterations in readings, so
+// real_time is ns per reading either way.
+constexpr std::int64_t kBusBatch = 256;
+
+std::vector<telemetry::Reading> unrouted_readings() {
+  std::vector<telemetry::Reading> readings;
+  for (std::int64_t i = 0; i < kBusBatch; ++i) {
+    readings.push_back({"rack00/node" + std::to_string(i) + "/power",
+                        {i, 150.0}});
+  }
+  return readings;
+}
+
+void BM_BusPublishUnrouted(benchmark::State& state) {
+  telemetry::MessageBus bus;
+  bus.subscribe("facility/*", [](const telemetry::Reading&) {});
+  const std::vector<telemetry::Reading> readings = unrouted_readings();
+  while (state.KeepRunningBatch(kBusBatch)) {
+    for (const telemetry::Reading& r : readings) bus.publish(r);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BusPublishUnrouted);
+
+void BM_BusPublishBatch(benchmark::State& state) {
+  telemetry::MessageBus bus;
+  bus.subscribe("facility/*", [](const telemetry::Reading&) {});
+  const std::vector<telemetry::Reading> readings = unrouted_readings();
+  while (state.KeepRunningBatch(kBusBatch)) {
+    bus.publish_batch(readings);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BusPublishBatch);
 
 void BM_StoreInsert(benchmark::State& state) {
   telemetry::TimeSeriesStore store(1 << 16);
@@ -125,6 +165,9 @@ void BM_TraceSpanDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSpanDisabled);
 
+// The threaded run shows what the always-on span shares between threads:
+// any shared write on the span path (a counter RMW) would make it slower
+// per span than the single-threaded run.
 void BM_TraceSpanRecorderOnly(benchmark::State& state) {
   obs::Tracer::global().set_enabled(false);
   obs::FlightRecorder::global().set_enabled(true);
@@ -134,6 +177,7 @@ void BM_TraceSpanRecorderOnly(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceSpanRecorderOnly);
+BENCHMARK(BM_TraceSpanRecorderOnly)->Threads(4);
 
 void BM_TraceSpanFull(benchmark::State& state) {
   obs::Tracer& tracer = obs::Tracer::global();

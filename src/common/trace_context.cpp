@@ -28,11 +28,24 @@ TraceContext exchange_trace_context(TraceContext ctx) noexcept {
 }
 
 std::uint64_t next_trace_id() noexcept {
+  // Each thread claims a block of counter values at a time, so the shared
+  // counter is touched once per kBlock ids instead of once per span. Blocks
+  // never overlap and mix64 is a bijection, so ids stay process-unique; a
+  // thread that exits mid-block just leaves the rest of its block unused.
+  constexpr std::uint64_t kBlock = 1024;
   static std::atomic<std::uint64_t> counter{0};
-  // relaxed: uniqueness comes from the atomic RMW itself; ids carry no
-  // ordering obligations with respect to any other memory.
-  const std::uint64_t id = mix64(counter.fetch_add(1, std::memory_order_relaxed));
-  return id == 0 ? 1 : id;  // 0 is the "no trace" sentinel
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  for (;;) {
+    if (next == end) {
+      // relaxed: uniqueness comes from the atomic RMW itself; ids carry no
+      // ordering obligations with respect to any other memory.
+      next = counter.fetch_add(kBlock, std::memory_order_relaxed);
+      end = next + kBlock;
+    }
+    const std::uint64_t id = mix64(next++);
+    if (id != 0) return id;  // 0 is the "no trace" sentinel: skip its value
+  }
 }
 
 }  // namespace oda

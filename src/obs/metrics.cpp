@@ -76,7 +76,8 @@ Histogram::Histogram(std::vector<double> bounds)
               "histogram bounds must be distinct");
 }
 
-void Histogram::observe(double value) noexcept {
+void Histogram::observe(double value, std::uint64_t count) noexcept {
+  if (count == 0) return;
   std::size_t bucket = bounds_.size();  // +Inf bucket
   for (std::size_t i = 0; i < bounds_.size(); ++i) {
     if (value <= bounds_[i]) {
@@ -87,9 +88,10 @@ void Histogram::observe(double value) noexcept {
   // relaxed (all three): per-bucket counts, the running sum, and the total
   // count are independent statistics; a scrape may observe them at slightly
   // different instants, which Prometheus semantics explicitly permit.
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  counts_[bucket].fetch_add(count, std::memory_order_relaxed);
+  const double added = value * static_cast<double>(count);
+  sum_.fetch_add(added, std::memory_order_relaxed);
+  count_.fetch_add(count, std::memory_order_relaxed);
   // Exemplar: remember the trace that produced the most recent extreme
   // observation so a slow bucket links straight to its causal trace.
   const TraceContext ctx = current_trace_context();

@@ -75,7 +75,9 @@ class Histogram {
   /// is appended.
   explicit Histogram(std::vector<double> bounds);
 
-  void observe(double value) noexcept;
+  /// Records `count` observations of `value` (a bulk add of identical
+  /// values, e.g. a batch's zero-latency readings).
+  void observe(double value, std::uint64_t count = 1) noexcept;
 
   /// Exemplar (OpenMetrics): the trace id of the most recent extreme
   /// observation — the running-max value seen while a trace context was

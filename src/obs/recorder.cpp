@@ -20,6 +20,16 @@ std::map<std::uint64_t, std::shared_ptr<void>>& thread_ring_map() {
   return map;
 }
 
+/// The ring of the recorder this thread recorded into last: the hot path's
+/// only lookup. Keyed by id, never reused, so a destroyed recorder cannot
+/// alias a live one; the ring stays valid while the recorder that owns it
+/// lives. Trivially destructible, so access needs no TLS guard.
+struct RingCache {
+  std::uint64_t recorder_id = 0;
+  void* ring = nullptr;
+};
+thread_local RingCache t_ring_cache;
+
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -56,19 +66,21 @@ void FlightRecorder::set_enabled(bool enabled) {
 }
 
 FlightRecorder::Ring& FlightRecorder::local_ring() {
+  RingCache& cache = t_ring_cache;
+  if (cache.recorder_id == recorder_id_) return *static_cast<Ring*>(cache.ring);
   auto& map = thread_ring_map();
-  const auto it = map.find(recorder_id_);
-  if (it != map.end()) {
-    return *static_cast<Ring*>(it->second.get());
+  auto it = map.find(recorder_id_);
+  if (it == map.end()) {
+    auto ring = std::make_shared<Ring>(ring_capacity_);
+    {
+      MutexLock lock(mu_);
+      ring->tid = next_tid_++;
+      rings_.push_back(ring);
+    }
+    it = map.emplace(recorder_id_, std::move(ring)).first;
   }
-  auto ring = std::make_shared<Ring>(ring_capacity_);
-  {
-    MutexLock lock(mu_);
-    ring->tid = next_tid_++;
-    rings_.push_back(ring);
-  }
-  map.emplace(recorder_id_, ring);
-  return *ring;
+  cache = {recorder_id_, it->second.get()};
+  return *static_cast<Ring*>(cache.ring);
 }
 
 void FlightRecorder::record(const char* name, const char* category,
@@ -101,24 +113,31 @@ void FlightRecorder::record(const char* name, const char* category,
   // release: publishes the payload with the stable (even) sequence value.
   slot.seq.store(2 * h + 2, std::memory_order_release);
   // release: a reader that sees this head has the slot's final seq visible.
+  // The head doubles as this ring's recorded count (recorded_total()).
   ring.head.store(h + 1, std::memory_order_release);
-  // relaxed: statistics counter.
-  recorded_.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::vector<std::shared_ptr<FlightRecorder::Ring>> FlightRecorder::rings()
+    const {
+  MutexLock lock(mu_);
+  return rings_;
+}
+
+std::uint64_t FlightRecorder::Ring::retained_begin(std::uint64_t at) const {
+  const std::uint64_t cap = slots.size();
+  // relaxed: written by clear() only, whose callers quiesce writers first.
+  const std::uint64_t floor = cleared.load(std::memory_order_relaxed);
+  return std::max(at > cap ? at - cap : 0, floor);
 }
 
 std::vector<TraceEvent> FlightRecorder::snapshot() const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    MutexLock lock(mu_);
-    rings = rings_;
-  }
   std::vector<TraceEvent> out;
-  for (const auto& ring : rings) {
+  for (const auto& ring : rings()) {
     // acquire: pairs with the release head store so slots below the head
     // are fully published.
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     const std::uint64_t cap = ring->slots.size();
-    const std::uint64_t begin = head > cap ? head - cap : 0;
+    const std::uint64_t begin = ring->retained_begin(head);
     for (std::uint64_t i = begin; i < head; ++i) {
       const Slot& slot = ring->slots[i & (cap - 1)];
       // Seqlock read: accept only when both seq reads match the stable
@@ -162,21 +181,31 @@ std::string FlightRecorder::to_chrome_json() const {
   return chrome_trace_json(snapshot());
 }
 
-std::size_t FlightRecorder::event_count() const { return snapshot().size(); }
+std::size_t FlightRecorder::event_count() const {
+  std::size_t n = 0;
+  for (const auto& ring : rings()) {
+    // acquire: as in snapshot().
+    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+    n += static_cast<std::size_t>(head - ring->retained_begin(head));
+  }
+  return n;
+}
+
+std::uint64_t FlightRecorder::recorded_total() const {
+  std::uint64_t n = 0;
+  for (const auto& ring : rings()) {
+    // relaxed: statistics read of a monotonic count.
+    n += ring->head.load(std::memory_order_relaxed);
+  }
+  return n;
+}
 
 void FlightRecorder::clear() {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    MutexLock lock(mu_);
-    rings = rings_;
-  }
-  for (const auto& ring : rings) {
-    for (auto& slot : ring->slots) {
-      // relaxed: callers quiesce writers before clear() (documented).
-      slot.seq.store(0, std::memory_order_relaxed);
-    }
-    // relaxed: same quiescence contract.
-    ring->head.store(0, std::memory_order_relaxed);
+  for (const auto& ring : rings()) {
+    // relaxed (both): callers quiesce writers before clear() (documented).
+    // The head keeps counting, so recorded_total() survives a clear.
+    ring->cleared.store(ring->head.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
   }
 }
 

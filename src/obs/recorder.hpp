@@ -9,7 +9,9 @@
 // Cost model: enabled by default, a recorded event is two steady-clock reads
 // (shared with the tracer path) plus a handful of release atomic stores into
 // a fixed ring slot (plain movs on x86) — no locks, no allocation, no
-// branches on capacity.
+// branches on capacity. The ring is found through a one-entry thread-local
+// cache, and its head doubles as its recorded count, so a record writes
+// nothing another thread writes.
 // Disabling it (set_enabled(false)) together with a disabled Tracer returns
 // span entry to a single relaxed load (see trace.hpp's cost model).
 //
@@ -64,11 +66,10 @@ class FlightRecorder {
   std::string to_chrome_json() const;
 
   /// Events currently retained / recorded since construction / dumps taken.
+  /// The first two read each ring's head, no slot: O(threads), and on a
+  /// quiescent recorder event_count() == snapshot().size().
   std::size_t event_count() const;
-  std::uint64_t recorded_total() const {
-    // relaxed: statistics counter.
-    return recorded_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t recorded_total() const;
   std::uint64_t dump_count() const {
     // relaxed: statistics counter.
     return dumps_.load(std::memory_order_relaxed);
@@ -103,17 +104,25 @@ class FlightRecorder {
   };
   struct Ring {
     explicit Ring(std::size_t capacity) : slots(capacity) {}
+    /// First position still retained when the head is at `at`: the ring's
+    /// last `capacity` events, none from before the last clear().
+    std::uint64_t retained_begin(std::uint64_t at) const;
+
     std::vector<Slot> slots;  // power-of-two length
-    std::atomic<std::uint64_t> head{0};  // next write position (monotonic)
+    /// Next write position; monotonic, so also the events ever recorded.
+    std::atomic<std::uint64_t> head{0};
+    std::atomic<std::uint64_t> cleared{0};  // head at the last clear()
     std::uint32_t tid = 0;
   };
 
+  /// This thread's ring, registered on first use (a thread-local cache hit
+  /// on the hot path).
   Ring& local_ring();
+  std::vector<std::shared_ptr<Ring>> rings() const ODA_EXCLUDES(mu_);
 
   const std::uint64_t recorder_id_;
   const std::size_t ring_capacity_;
   std::atomic<bool> enabled_{true};
-  std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dumps_{0};
   // Guards ring registration and the dump path only. The per-slot seqlock
   // protocol (Slot::seq) deliberately stays outside the annotated-mutex

@@ -64,6 +64,14 @@ std::map<std::uint64_t, std::shared_ptr<void>>& thread_buffer_map() {
   return map;
 }
 
+/// The buffer of the tracer this thread recorded into last, so the hot path
+/// skips the map (same scheme as the flight recorder's ring cache).
+struct BufferCache {
+  std::uint64_t tracer_id = 0;
+  void* buffer = nullptr;
+};
+thread_local BufferCache t_buffer_cache;
+
 std::string json_escape(const std::string& s) {
   static const char* hex = "0123456789abcdef";
   std::string out;
@@ -142,19 +150,23 @@ std::uint64_t Tracer::now_us() const {
 }
 
 Tracer::ThreadBuffer& Tracer::local_buffer() {
+  BufferCache& cache = t_buffer_cache;
+  if (cache.tracer_id == tracer_id_) {
+    return *static_cast<ThreadBuffer*>(cache.buffer);
+  }
   auto& map = thread_buffer_map();
-  const auto it = map.find(tracer_id_);
-  if (it != map.end()) {
-    return *static_cast<ThreadBuffer*>(it->second.get());
+  auto it = map.find(tracer_id_);
+  if (it == map.end()) {
+    auto buf = std::make_shared<ThreadBuffer>();
+    {
+      MutexLock lock(mu_);
+      buf->tid = next_tid_++;
+      buffers_.push_back(buf);
+    }
+    it = map.emplace(tracer_id_, std::move(buf)).first;
   }
-  auto buf = std::make_shared<ThreadBuffer>();
-  {
-    MutexLock lock(mu_);
-    buf->tid = next_tid_++;
-    buffers_.push_back(buf);
-  }
-  map.emplace(tracer_id_, buf);
-  return *buf;
+  cache = {tracer_id_, it->second.get()};
+  return *static_cast<ThreadBuffer*>(cache.buffer);
 }
 
 void Tracer::record(const char* name, const char* category,

@@ -24,10 +24,13 @@
 //   * compiled in, Tracer disabled and FlightRecorder disabled: one relaxed
 //     atomic load (of the shared sink mask) per scope entry.
 //   * FlightRecorder only (the default — see obs/recorder.hpp): two
-//     steady-clock reads plus a handful of relaxed stores into a bounded
-//     per-thread ring.
-//   * Tracer enabled: additionally an uncontended per-thread mutex push
-//     (the mutex is only contended while a snapshot drains buffers).
+//     steady-clock reads (most of the cost), two span ids from this
+//     thread's block of the id counter, and a handful of stores into this
+//     thread's ring, found through a thread-local cache. No write on this
+//     path touches memory another thread writes.
+//   * Tracer enabled: additionally a shared capacity counter and an
+//     uncontended per-thread mutex push (the mutex is only contended while
+//     a snapshot drains buffers).
 //
 // Span names must outlive the span (string literals in practice); the flight
 // recorder retains them as raw pointers, so literals are mandatory there.

@@ -2,11 +2,15 @@
 // monitoring pipeline (the role MQTT plays in DCDB or AMQP in ExaMon).
 // Subscriptions take glob patterns over sensor paths; publishing is
 // thread-safe and delivers synchronously on the publisher's thread.
-// A publish costs one glob match per subscription plus, when unrouted, one
-// O(1) hash probe of the path's top-level prefix — nothing scales with the
-// number of distinct paths or prefixes seen.
+// Producers hand readings over in batches (publish_batch; publish() is a
+// batch of one). A batch costs one span, one lock to snapshot the
+// subscriptions and one update of each shared counter; each reading in it
+// costs one glob match per subscription, a histogram observation when it
+// is routed, and — only when the top-level prefix of an unrouted path
+// differs from the previous unrouted one — a locked O(1) hash probe of that
+// prefix. Nothing scales with the number of distinct paths or prefixes.
 //
-// Self-instrumentation: publish() feeds the global obs registry
+// Self-instrumentation: publishing feeds the global obs registry
 // (oda_bus_publish_seconds, oda_bus_published_total, oda_bus_delivered_total,
 // oda_bus_subscriber_deliveries_total{pattern=...}) and flags subscribers
 // whose callback exceeds the slow threshold (oda_bus_slow_deliveries_total,
@@ -18,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -50,10 +55,17 @@ class MessageBus {
       ODA_EXCLUDES(mu_);
   void unsubscribe(SubscriptionId id) ODA_EXCLUDES(mu_);
 
-  /// Delivers the reading to every matching subscriber. Callbacks run
-  /// outside the bus lock, so they may publish or (un)subscribe
-  /// re-entrantly.
-  void publish(const Reading& reading) ODA_EXCLUDES(mu_);
+  /// Delivers each reading, in order, to every matching subscriber: the
+  /// same deliveries and statistics as one publish() per reading. Callbacks
+  /// run outside the bus lock, so they may publish or (un)subscribe
+  /// re-entrantly; a subscription change takes effect from the next
+  /// reading of the batch. The shared counters (published/delivered/
+  /// unrouted, here and in the registry) advance once, when the batch ends.
+  void publish_batch(std::span<const Reading> readings) ODA_EXCLUDES(mu_);
+  /// A batch of one.
+  void publish(const Reading& reading) ODA_EXCLUDES(mu_) {
+    publish_batch({&reading, 1});
+  }
   void publish(const std::string& path, TimePoint time, double value)
       ODA_EXCLUDES(mu_);
 
@@ -89,10 +101,10 @@ class MessageBus {
   std::vector<SubscriberStats> subscriber_stats() const ODA_EXCLUDES(mu_);
 
  private:
-  /// Shared with in-flight publishes so neither unsubscribe() nor a
-  /// subscribe() that reallocates subs_ invalidates the callback or stats a
-  /// concurrent delivery is using. `pattern` and `callback` are immutable
-  /// after construction; the counters are atomics.
+  /// Shared by every list version that holds the subscription, so the
+  /// statistics survive subscribe()/unsubscribe() replacing the list.
+  /// `pattern` and `callback` are immutable after construction; the
+  /// counters are atomics.
   struct SubStats {
     std::string pattern;
     Callback callback;
@@ -108,12 +120,21 @@ class MessageBus {
     std::shared_ptr<SubStats> stats;
   };
 
-  /// Outermost data-plane lock: publish() nests store/metrics/log work
+  /// Outermost data-plane lock: publish_batch() nests store/metrics/log work
   /// under the snapshot taken here (via subscribers), never the reverse.
   mutable Mutex mu_ ODA_ACQUIRED_AFTER(lock_order::bus)
       ODA_ACQUIRED_BEFORE(lock_order::health){LockRankId::kBus};
-  std::vector<Subscription> subs_ ODA_GUARDED_BY(mu_);
+  using SubscriptionList = std::vector<Subscription>;
+  /// Copy-on-write: subscribe()/unsubscribe() swap in a new list and never
+  /// touch a published one, so a batch snapshots the subscriptions by
+  /// copying this pointer, and a list it holds stays valid (callbacks and
+  /// statistics included) however the subscriptions change meanwhile.
+  std::shared_ptr<const SubscriptionList> subs_ ODA_GUARDED_BY(mu_) =
+      std::make_shared<const SubscriptionList>();
   SubscriptionId next_id_ ODA_GUARDED_BY(mu_) = 1;
+  /// Bumped (under mu_) by every subscribe/unsubscribe, so a batch in
+  /// flight knows when its subscription snapshot went stale.
+  std::atomic<std::uint64_t> generation_{0};
   /// Lets unrouted_warned_ be probed with a string_view of the prefix, so an
   /// unrouted publish allocates nothing.
   struct PrefixHash {

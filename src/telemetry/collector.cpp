@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <span>
 #include <tuple>
 
 #include "common/log.hpp"
@@ -302,16 +303,22 @@ void Collector::collect() {
     // One batch insert per group: the store groups by shard and takes each
     // shard lock once, instead of one map lookup + lock per sample.
     if (store_ != nullptr && !readings.empty()) store_->insert_batch(readings);
-    if (bus_ != nullptr) {
-      // Same order as `readings`. One Reading is reused so each path is
-      // copied into its buffer, not into a fresh allocation per sample.
-      Reading reading;
+    if (bus_ != nullptr && !readings.empty()) {
+      // One bus hand-off per group pass, in the same order as `readings`.
+      // The batch's Readings are reused across passes (it only ever grows),
+      // so each path is copied into a buffer that kept its capacity rather
+      // than into a fresh allocation per sample.
+      if (bus_batch_.size() < readings.size()) {
+        bus_batch_.resize(readings.size());
+      }
+      std::size_t k = 0;
       for (std::size_t i = 0; i < n; ++i) {
         if (slots[i].outcome != ReadOutcome::kOk) continue;
-        reading.path = group.sensor_paths[i];
-        reading.sample = {now, slots[i].value};
-        bus_->publish(reading);
+        bus_batch_[k].path = group.sensor_paths[i];
+        bus_batch_[k].sample = {now, slots[i].value};
+        ++k;
       }
+      bus_->publish_batch(std::span<const Reading>(bus_batch_).first(k));
     }
 
     const std::uint64_t gaps = gap_counts[0] + gap_counts[1] + gap_counts[2];

@@ -199,6 +199,8 @@ class Collector {
   /// the simulation stream, so sensor reads run genuinely concurrently; the
   /// serial path keeps using the cluster's own Rng.
   Rng overlay_rng_;
+  /// The bus batch of the current group pass; see collect().
+  std::vector<Reading> bus_batch_;
   /// Backoff-jitter stream for the serial path (the parallel path draws
   /// jitter from its chunk Rng). Only consumed when a read actually retries,
   /// so fault-free runs never touch it.

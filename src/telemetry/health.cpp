@@ -220,7 +220,8 @@ void SensorHealthTracker::transition_locked(SeriesHealth& s, SensorState to,
 }
 
 void SensorHealthTracker::flush_publishes(std::vector<Reading>& pending) {
-  for (const Reading& r : pending) bus_->publish(r);
+  // Queued only when bus_ is set (transition_locked); one hand-off for all.
+  if (!pending.empty()) bus_->publish_batch(pending);
   pending.clear();
 }
 

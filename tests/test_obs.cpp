@@ -16,6 +16,7 @@
 #include "obs/exposition.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 
 namespace oda::obs {
@@ -59,6 +60,48 @@ TEST(MetricsRegistry, HistogramBucketsSumCount) {
   EXPECT_EQ(counts[3], 1u);
   EXPECT_EQ(h.count(), 4u);
   EXPECT_DOUBLE_EQ(h.sum(), 104.5);
+}
+
+TEST(MetricsRegistry, HistogramBulkObserveEqualsRepeatedObserve) {
+  MetricsRegistry reg;
+  const std::vector<double> bounds{1, 2, 4};
+  Histogram& bulk = reg.histogram("oda_test_bulk_seconds", "bulk", bounds);
+  Histogram& single = reg.histogram("oda_test_single_seconds", "one", bounds);
+  for (const double v : {0.0, 1.5, 3.0, 100.0}) {
+    bulk.observe(v, 5);
+    for (int i = 0; i < 5; ++i) single.observe(v);
+  }
+  bulk.observe(2.0, 0);  // an empty bulk add records nothing
+  EXPECT_EQ(bulk.bucket_counts(), single.bucket_counts());
+  EXPECT_EQ(bulk.count(), 20u);
+  EXPECT_EQ(bulk.count(), single.count());
+  EXPECT_DOUBLE_EQ(bulk.sum(), single.sum());
+}
+
+// event_count() counts retained slots from the ring heads alone; on a
+// quiescent recorder it must agree with the full snapshot.
+TEST(FlightRecorderCount, MatchesSnapshotBeforeAndAfterWrap) {
+  FlightRecorder recorder(16);
+  const auto record = [&recorder](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      recorder.record("count.event", "test", i, 1, TraceEventKind::kSpan, 1,
+                      i + 1, 0);
+    }
+  };
+  EXPECT_EQ(recorder.event_count(), 0u);
+  record(10);
+  EXPECT_EQ(recorder.event_count(), 10u);
+  EXPECT_EQ(recorder.event_count(), recorder.snapshot().size());
+  record(30);  // wraps the 16-slot ring
+  EXPECT_EQ(recorder.event_count(), 16u);
+  EXPECT_EQ(recorder.event_count(), recorder.snapshot().size());
+  recorder.clear();
+  EXPECT_EQ(recorder.event_count(), 0u);
+  EXPECT_EQ(recorder.snapshot().size(), 0u);
+  record(5);
+  EXPECT_EQ(recorder.event_count(), 5u);
+  EXPECT_EQ(recorder.event_count(), recorder.snapshot().size());
+  EXPECT_EQ(recorder.recorded_total(), 45u);
 }
 
 TEST(MetricsRegistry, ReRegistrationReturnsSameInstrument) {

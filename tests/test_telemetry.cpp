@@ -5,9 +5,13 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "obs/metrics.hpp"
 #include "sim/cluster.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/bus.hpp"
@@ -429,6 +433,219 @@ TEST(MessageBus, UnroutedWarnsOncePerPrefixAcrossManyPrefixes) {
   for (const std::string& prefix : prefixes) {
     EXPECT_EQ(warnings[prefix], 1) << prefix;
   }
+}
+
+// ----------------------------------------------------------- batches
+
+/// The global-registry bus series, read before and after one run so two
+/// runs can be compared by their deltas.
+struct BusTally {
+  double published = 0.0;
+  double delivered = 0.0;
+  double unrouted = 0.0;
+  std::map<std::string, double> per_pattern;
+  std::uint64_t latency_count = 0;
+  double latency_sum = 0.0;
+  std::vector<std::uint64_t> latency_buckets;
+
+  static BusTally read() {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+    BusTally t;
+    t.published = snap.total("oda_bus_published_total");
+    t.delivered = snap.total("oda_bus_delivered_total");
+    t.unrouted = snap.total("oda_bus_unrouted_total");
+    if (const obs::MetricFamily* fam =
+            snap.find("oda_bus_subscriber_deliveries_total")) {
+      for (const auto& v : fam->values) {
+        for (const auto& [k, label] : v.labels) {
+          if (k == "pattern") t.per_pattern[label] += v.value;
+        }
+      }
+    }
+    if (const obs::MetricFamily* fam = snap.find("oda_bus_publish_seconds")) {
+      for (const auto& h : fam->histograms) {
+        t.latency_count += h.count;
+        t.latency_sum += h.sum;
+        t.latency_buckets.resize(h.counts.size());
+        for (std::size_t i = 0; i < h.counts.size(); ++i) {
+          t.latency_buckets[i] += h.counts[i];
+        }
+      }
+    }
+    return t;
+  }
+
+  /// after - before, series by series.
+  BusTally minus(const BusTally& before) const {
+    BusTally d = *this;
+    d.published -= before.published;
+    d.delivered -= before.delivered;
+    d.unrouted -= before.unrouted;
+    for (auto& [pattern, value] : d.per_pattern) {
+      const auto it = before.per_pattern.find(pattern);
+      if (it != before.per_pattern.end()) value -= it->second;
+    }
+    d.latency_count -= before.latency_count;
+    d.latency_sum -= before.latency_sum;
+    for (std::size_t i = 0; i < before.latency_buckets.size(); ++i) {
+      d.latency_buckets[i] -= before.latency_buckets[i];
+    }
+    return d;
+  }
+};
+
+using Delivery = std::tuple<std::string, std::string, TimePoint, double>;
+
+/// Everything one run of a bus left behind.
+struct BusRun {
+  std::vector<Delivery> deliveries;  // (pattern, path, time, value)
+  std::vector<std::string> log;
+  BusTally tally;
+  std::uint64_t published = 0, delivered = 0, unrouted = 0;
+  std::vector<std::uint64_t> per_subscription;
+};
+
+/// Runs `readings` through a fresh bus with a fixed set of subscriptions,
+/// either as one batch or as one publish per reading.
+BusRun run_bus(const std::vector<Reading>& readings, bool batch) {
+  BusRun run;
+  MessageBus bus;
+  for (const char* pattern : {"rack*/node*/power", "rack00/*", "facility/*"}) {
+    bus.subscribe(pattern, [&run, pattern](const Reading& r) {
+      run.deliveries.emplace_back(pattern, r.path, r.sample.time,
+                                  r.sample.value);
+    });
+  }
+  CaptureSink capture(1024);
+  const BusTally before = BusTally::read();
+  if (batch) {
+    bus.publish_batch(readings);
+  } else {
+    for (const Reading& r : readings) bus.publish(r);
+  }
+  run.tally = BusTally::read().minus(before);
+  run.log = capture.lines();
+  run.published = bus.published_count();
+  run.delivered = bus.delivered_count();
+  run.unrouted = bus.unrouted_count();
+  for (const auto& stats : bus.subscriber_stats()) {
+    run.per_subscription.push_back(stats.deliveries);
+  }
+  return run;
+}
+
+TEST(MessageBus, BatchMatchesSinglePublishesOnTwinBuses) {
+  // Routed and unrouted readings interleaved; unrouted prefixes come back
+  // after others (orphanA, orphanB, orphanA) and bare paths have no '/'.
+  std::vector<Reading> readings;
+  const std::vector<std::string> paths = {
+      "rack00/node01/power", "orphanA/x", "orphanA/y",  "rack01/node02/power",
+      "orphanB/x",           "orphanA/z", "facility/pue", "bare",
+      "rack00/pdu",          "bare",      "orphanB/y",  "rack02/node00/temp"};
+  for (int rep = 0; rep < 5; ++rep) {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      readings.push_back(
+          Reading{paths[i], {rep * 15, static_cast<double>(rep * 100 + i)}});
+    }
+  }
+
+  const BusRun single = run_bus(readings, /*batch=*/false);
+  const BusRun batch = run_bus(readings, /*batch=*/true);
+
+  EXPECT_EQ(batch.deliveries, single.deliveries);
+  EXPECT_FALSE(single.deliveries.empty());
+  EXPECT_EQ(batch.published, readings.size());
+  EXPECT_EQ(batch.published, single.published);
+  EXPECT_EQ(batch.delivered, single.delivered);
+  EXPECT_EQ(batch.unrouted, single.unrouted);
+  EXPECT_EQ(batch.per_subscription, single.per_subscription);
+
+  // One warning per unrouted prefix, identical lines in identical order.
+  EXPECT_EQ(batch.log, single.log);
+  std::map<std::string, int> warnings;
+  for (const auto& line : batch.log) {
+    if (line.find("matched no subscribers") == std::string::npos) continue;
+    const std::string marker = "under prefix '";
+    const auto begin = line.find(marker) + marker.size();
+    ++warnings[line.substr(begin, line.find('\'', begin) - begin)];
+  }
+  EXPECT_EQ(warnings, (std::map<std::string, int>{
+                          {"bare", 1}, {"orphanA", 1}, {"orphanB", 1},
+                          {"rack02", 1}}));
+
+  // Registry series: published/delivered/unrouted, per pattern, latency.
+  EXPECT_DOUBLE_EQ(batch.tally.published, single.tally.published);
+  EXPECT_DOUBLE_EQ(batch.tally.delivered, single.tally.delivered);
+  EXPECT_DOUBLE_EQ(batch.tally.unrouted, single.tally.unrouted);
+  for (const char* pattern : {"rack*/node*/power", "rack00/*", "facility/*"}) {
+    EXPECT_DOUBLE_EQ(batch.tally.per_pattern.at(pattern),
+                     single.tally.per_pattern.at(pattern))
+        << pattern;
+  }
+  // One latency observation per reading. The routed ones time real
+  // callbacks, so only their number is comparable across buses.
+  EXPECT_EQ(single.tally.latency_count, readings.size());
+  EXPECT_EQ(batch.tally.latency_count, single.tally.latency_count);
+}
+
+TEST(MessageBus, BatchOfUnroutedReadingsObservesExactZeroLatencies) {
+  std::vector<Reading> readings;
+  for (int i = 0; i < 64; ++i) {
+    readings.push_back(
+        Reading{"nowhere" + std::to_string(i % 3) + "/leaf", {i, 1.0}});
+  }
+  const BusRun single = run_bus(readings, /*batch=*/false);
+  const BusRun batch = run_bus(readings, /*batch=*/true);
+  EXPECT_EQ(batch.unrouted, readings.size());
+  EXPECT_EQ(batch.tally.latency_count, single.tally.latency_count);
+  EXPECT_DOUBLE_EQ(batch.tally.latency_sum, single.tally.latency_sum);
+  EXPECT_DOUBLE_EQ(batch.tally.latency_sum, 0.0);
+  EXPECT_EQ(batch.tally.latency_buckets, single.tally.latency_buckets);
+  ASSERT_FALSE(batch.tally.latency_buckets.empty());
+  EXPECT_EQ(batch.tally.latency_buckets[0], readings.size());
+  EXPECT_EQ(batch.log, single.log);
+  EXPECT_EQ(batch.log.size(), 3u);
+}
+
+TEST(MessageBus, SubscriptionChangeMidBatchTakesEffectFromNextReading) {
+  const auto run = [](bool batch) {
+    MessageBus bus;
+    std::vector<std::string> got;
+    MessageBus::SubscriptionId first = 0;
+    first = bus.subscribe("*", [&](const Reading& r) {
+      got.push_back("first:" + r.path);
+      if (r.path == "r2") {
+        bus.subscribe("*", [&](const Reading& s) {
+          got.push_back("late:" + s.path);
+        });
+      }
+      if (r.path == "r4") bus.unsubscribe(first);
+    });
+    std::vector<Reading> readings;
+    for (int i = 0; i < 6; ++i) {
+      readings.push_back(Reading{"r" + std::to_string(i), {i, 0.0}});
+    }
+    if (batch) {
+      bus.publish_batch(readings);
+    } else {
+      for (const Reading& r : readings) bus.publish(r);
+    }
+    return got;
+  };
+  const std::vector<std::string> batch = run(true);
+  // The late subscriber gets the rest of the batch (from r3); the first
+  // one is gone from the reading after it unsubscribed (r5).
+  EXPECT_EQ(batch, (std::vector<std::string>{
+                       "first:r0", "first:r1", "first:r2", "first:r3",
+                       "late:r3", "first:r4", "late:r4", "late:r5"}));
+  EXPECT_EQ(batch, run(false));
+}
+
+TEST(MessageBus, EmptyBatchPublishesNothing) {
+  MessageBus bus;
+  bus.publish_batch({});
+  EXPECT_EQ(bus.published_count(), 0u);
+  EXPECT_EQ(bus.unrouted_count(), 0u);
 }
 
 // ---------------------------------------------------------- empty groups

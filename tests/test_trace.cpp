@@ -8,12 +8,14 @@
 // carried into the Prometheus exposition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -61,6 +63,34 @@ TEST_F(CausalTraceTest, NextTraceIdIsNonzeroAndUnique) {
     EXPECT_NE(id, 0u);
     EXPECT_TRUE(seen.insert(id).second);
   }
+}
+
+// Ids come from per-thread blocks of one shared counter: threads that exit
+// mid-block (100k is no multiple of the block size) and the threads that
+// follow them must still never repeat an id.
+TEST_F(CausalTraceTest, NextTraceIdIsUniqueAcrossThreadsAndBlocks) {
+  constexpr int kThreads = 8;
+  constexpr int kIdsPerThread = 100000;
+  std::vector<std::vector<std::uint64_t>> ids(2 * kThreads);
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&ids, slot = round * kThreads + t] {
+        ids[slot].reserve(kIdsPerThread);
+        for (int i = 0; i < kIdsPerThread; ++i) {
+          ids[slot].push_back(next_trace_id());
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  std::vector<std::uint64_t> all;
+  for (const auto& v : ids) all.insert(all.end(), v.begin(), v.end());
+  all.push_back(next_trace_id());  // this thread's block too
+  ASSERT_EQ(all.size(), 2u * kThreads * kIdsPerThread + 1);
+  std::sort(all.begin(), all.end());
+  EXPECT_NE(all.front(), 0u);
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
 }
 
 TEST_F(CausalTraceTest, ContextScopeInstallsAndRestores) {
@@ -317,6 +347,119 @@ TEST_F(CausalTraceTest, RingWrapKeepsMostRecentEvents) {
   local.clear();
   EXPECT_EQ(local.event_count(), 0u);
 }
+
+// Each thread caches the ring of the recorder it used last; switching
+// between two recorders on one thread must still file every event in the
+// recorder it was recorded into.
+TEST_F(CausalTraceTest, AlternatingRecordersKeepOnlyTheirOwnEvents) {
+  FlightRecorder a(64);
+  FlightRecorder b(64);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    a.record("rec.a", "test", i, 1, TraceEventKind::kSpan, 1, 2 * i + 1, 0);
+    b.record("rec.b", "test", i, 1, TraceEventKind::kSpan, 1, 2 * i + 2, 0);
+    if (i % 8 == 0) {  // and via the global recorder in between
+      FlightRecorder::global().record("rec.global", "test", i, 1,
+                                      TraceEventKind::kSpan, 1, 1, 0);
+    }
+  }
+  for (const auto& [recorder, name] :
+       {std::pair<FlightRecorder*, std::string>{&a, "rec.a"},
+        std::pair<FlightRecorder*, std::string>{&b, "rec.b"}}) {
+    EXPECT_EQ(recorder->recorded_total(), 40u);
+    const std::vector<TraceEvent> events = recorder->snapshot();
+    ASSERT_EQ(events.size(), 40u);
+    for (const auto& e : events) EXPECT_EQ(e.name, name);
+  }
+}
+
+TEST_F(CausalTraceTest, AlternatingTracersKeepOnlyTheirOwnEvents) {
+  Tracer a;
+  Tracer b;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    a.record("tracer.a", "test", i, 1);
+    b.record("tracer.b", "test", i, 1);
+  }
+  for (const auto& [tracer, name] :
+       {std::pair<Tracer*, std::string>{&a, "tracer.a"},
+        std::pair<Tracer*, std::string>{&b, "tracer.b"}}) {
+    const std::vector<TraceEvent> events = tracer->events();
+    ASSERT_EQ(events.size(), 10u);
+    for (const auto& e : events) EXPECT_EQ(e.name, name);
+  }
+}
+
+// recorded_total() sums the rings, which outlive their writer threads.
+TEST_F(CausalTraceTest, RecordedTotalStaysExactAfterWritersExit) {
+  FlightRecorder local(64);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kEvents = 1000;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&local] {
+      for (std::uint64_t i = 0; i < kEvents; ++i) {
+        local.record("rec.thread", "test", i, 0, TraceEventKind::kInstant, 1,
+                     i + 1, 0);
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(local.recorded_total(), kThreads * kEvents);
+  EXPECT_EQ(local.event_count(), kThreads * 64u);
+  EXPECT_EQ(local.snapshot().size(), kThreads * 64u);
+  local.clear();  // clearing drops the events, not the count
+  EXPECT_EQ(local.event_count(), 0u);
+  EXPECT_EQ(local.recorded_total(), kThreads * kEvents);
+}
+
+#if ODA_TRACING_ENABLED
+// The collector hands each group pass to the bus as one batch: one
+// bus.publish span per due group, under the pass root, carrying every
+// successful read of that group in catalog order.
+TEST_F(CausalTraceTest, CollectPassPublishesOneBusSpanPerGroup) {
+  Tracer& tracer = Tracer::global();
+  tracer.set_enabled(true);
+  sim::ClusterParams params;
+  params.racks = 1;
+  params.nodes_per_rack = 4;
+  params.dt = 15;
+  sim::ClusterSimulation cluster(params);
+  telemetry::MessageBus bus;
+  std::vector<std::string> delivered;
+  bus.subscribe("*", [&delivered](const telemetry::Reading& r) {
+    delivered.push_back(r.path);
+  });
+  telemetry::Collector collector(cluster, nullptr, &bus);
+  const std::size_t nodes = collector.add_group({"nodes", "rack00/*", 15});
+  const std::size_t facility =
+      collector.add_group({"facility", "facility/*", 15});
+  ASSERT_GT(nodes, 0u);
+  ASSERT_GT(facility, 0u);
+  cluster.step();
+  collector.collect();
+
+  EXPECT_EQ(bus.published_count(), collector.samples_collected());
+  EXPECT_EQ(delivered.size(), nodes + facility);
+  std::vector<std::string> expected =
+      collector.catalog().match("rack00/*");
+  const std::vector<std::string> fac = collector.catalog().match("facility/*");
+  expected.insert(expected.end(), fac.begin(), fac.end());
+  EXPECT_EQ(delivered, expected);
+
+  const std::vector<TraceEvent> events = tracer.events();
+  std::uint64_t root = 0;
+  for (const auto& e : events) {
+    if (e.name == "collector.collect") root = e.span_id;
+  }
+  ASSERT_NE(root, 0u);
+  int publishes = 0;
+  for (const auto& e : events) {
+    if (e.name != "bus.publish") continue;
+    ++publishes;
+    EXPECT_EQ(e.parent_id, root);
+  }
+  EXPECT_EQ(publishes, 2);
+}
+#endif  // ODA_TRACING_ENABLED
 
 TEST_F(CausalTraceTest, UnhealthyAssessmentDumpsPostmortem) {
   FlightRecorder& recorder = FlightRecorder::global();
